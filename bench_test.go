@@ -21,6 +21,7 @@ import (
 	"repro/internal/quorum"
 	"repro/internal/reconfig"
 	"repro/internal/sim"
+	"repro/internal/transport/tcp"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -954,4 +955,93 @@ func BenchmarkE18_PeerRebuild(b *testing.B) {
 	}
 	b.ReportMetric(float64(items)/float64(b.N), "items/rebuild")
 	b.ReportMetric(float64(resolved)/float64(b.N), "resolved/rebuild")
+}
+
+// Per-layer costs of the wire codec and the log replay it feeds.
+//
+// BenchmarkCodec puts one frame of each hot message type through the TCP
+// frame codec — encode, then decode — which is what every replica access
+// pays twice (request and reply) on a real socket. The frames are shaped
+// like the 95/5 read-mostly path's: a 3-replica majority config in every
+// read reply, a short transaction id, an int value. allocs/op and ns/op
+// are per encode+decode pair; bytes/frame is the encoded body.
+func BenchmarkCodec(b *testing.B) {
+	dms := []string{"dm0", "dm1", "dm2"}
+	cfg := quorum.Majority(dms)
+	deadline := time.Now().Add(time.Second)
+	// Frame kinds as tcp numbers them on the wire: 1 call, 3 reply.
+	frames := []struct {
+		name string
+		f    tcp.Frame
+	}{
+		{"ReadReq", tcp.Frame{Kind: 1, ID: 41, From: "c1", Deadline: deadline,
+			Req: cluster.ReadReq{Txn: "c1.t812", Item: "user417", Lock: cluster.LockRead, Seq: 2}}},
+		{"ReadResp", tcp.Frame{Kind: 3, ID: 41,
+			Resp: cluster.ReadResp{OK: true, VN: 37, Val: 1093, Cfg: cfg}}},
+		{"WriteReq", tcp.Frame{Kind: 1, ID: 42, From: "c1", Deadline: deadline,
+			Req: cluster.WriteReq{Txn: "c1.t812", Item: "user417", VN: 38, Val: 1094, Seq: 3}}},
+		{"CommitTopReq", tcp.Frame{Kind: 1, ID: 43, From: "c1", Deadline: deadline,
+			Req: cluster.CommitTopReq{Txn: "c1.t812", Subs: []cluster.TxnID{"c1.t812/0"}, Final: map[string]int{"user417": 38}}}},
+		{"Ack", tcp.Frame{Kind: 3, ID: 43, Resp: cluster.Ack{OK: true}}},
+	}
+	for _, fr := range frames {
+		b.Run(fr.name, func(b *testing.B) {
+			body, err := tcp.EncodeFrame(fr.f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				enc, err := tcp.EncodeFrame(fr.f)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := tcp.DecodeFrame(enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(body)), "bytes/frame")
+		})
+	}
+}
+
+// BenchmarkWALReplay measures recovery replay per log record. A durable
+// 3-replica cluster commits 200 write transactions with compaction off, so
+// dm0's log is all records; each iteration then rebuilds dm0 from its log
+// alone (RestartDM). us/record is the whole restart divided by the records
+// it replayed.
+func BenchmarkWALReplay(b *testing.B) {
+	ctx := context.Background()
+	net := sim.NewNetwork(sim.Config{Seed: 1})
+	defer net.Close()
+	dms := []string{"dm0", "dm1", "dm2"}
+	store, err := cluster.Open(net,
+		[]cluster.ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}},
+		cluster.WithSeed(1), cluster.WithDurability(b.TempDir()), cluster.WithSnapshotEvery(1<<20))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	for i := 0; i < 200; i++ {
+		if err := store.Run(ctx, func(tx *cluster.Txn) error { return tx.Write(ctx, "x", i) }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	replayed := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := store.RestartDM("dm0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		replayed += st.Replayed
+	}
+	b.StopTimer()
+	if replayed == 0 {
+		b.Fatal("restart replayed no records")
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(replayed), "us/record")
+	b.ReportMetric(float64(replayed)/float64(b.N), "records/op")
 }

@@ -141,7 +141,10 @@ type inquiry struct {
 }
 
 // newDMState builds the state machine of a DM hosting the given items,
-// each at its initial value and configuration.
+// each at its initial value and configuration. The replicas share the
+// items' Config values rather than cloning them (see ItemSpec.Config): a
+// process hosting several DMs of a large keyspace would otherwise keep one
+// copy of every item's quorum sets per DM.
 func newDMState(id string, items []ItemSpec) *dmServer {
 	s := &dmServer{
 		id:         id,
@@ -157,7 +160,7 @@ func newDMState(id string, items []ItemSpec) *dmServer {
 	for _, it := range items {
 		s.replicas[it.Name] = &replica{
 			val:   it.Initial,
-			cfg:   it.Config.Clone(),
+			cfg:   it.Config,
 			locks: map[TxnID]LockMode{},
 		}
 	}

@@ -1,16 +1,14 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"sync"
 
 	"repro/internal/commit"
-	"repro/internal/quorum"
 	"repro/internal/transport"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // The durable replica path makes the paper's resilient-object assumption
@@ -23,166 +21,116 @@ import (
 // write-quorum member keep counting toward the quorum intersection
 // invariant (Lemma 8) after it comes back.
 
-// walRecord wraps one logged request so gob can carry the request types
-// through an interface field.
-type walRecord struct {
-	Req any
-}
-
-// The request types a WAL record can carry are gob-registered in wire.go
-// alongside every other protocol type — one registry for log and network.
-
-// encodeRecord serializes one state-mutating request for the log.
+// encodeRecord serializes one state-mutating request for the log: the
+// wire format version, then the tagged request (see wire.go). It fails
+// only on a value outside the codec's kinds.
 func encodeRecord(req any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(walRecord{Req: req}); err != nil {
+	b, err := wire.Marshal(nil, req)
+	if err != nil {
 		return nil, fmt.Errorf("cluster: encode wal record: %w", err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
-// decodeRecord reverses encodeRecord.
+// decodeRecord reverses encodeRecord. A record from a log written in
+// another format — by a build that still encoded with gob — fails with a
+// *wire.VersionError naming the version found.
 func decodeRecord(b []byte) (any, error) {
-	var rec walRecord
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&rec); err != nil {
+	req, err := wire.Unmarshal(b)
+	if err != nil {
 		return nil, fmt.Errorf("cluster: decode wal record: %w", err)
 	}
-	return rec.Req, nil
+	return req, nil
 }
 
-// intentSnap is the exported mirror of intent for snapshots.
-type intentSnap struct {
-	Owner    TxnID
-	IsConfig bool
-	VN       int
-	Val      any
-	Gen      int
-	Cfg      quorum.Config
-}
-
-// replicaSnap is the exported mirror of one replica's full state.
-type replicaSnap struct {
-	Item     string
-	VN       int
-	Val      any
-	Gen      int
-	Cfg      quorum.Config
-	Locks    map[TxnID]LockMode
-	Intents  []intentSnap
-	LockSeqs map[TxnID]int
-	LockBorn map[TxnID]int
-	Released map[TxnID]int
-}
-
-// resolutionSnap is the exported mirror of a resolution record.
-type resolutionSnap struct {
-	Committed bool
-	Subs      []TxnID
-}
-
-// dmSnap is a whole DM's state at one point in the log.
-type dmSnap struct {
-	Replicas []replicaSnap
-	Resolved map[TxnID]resolutionSnap
-	// Moved carries the migration retirement markers: hard state like the
-	// replicas themselves — a compacted log must still answer WrongShard
-	// redirects for items this DM retired.
-	Moved map[string]WrongShardResp
-	// Acceptors carries the Paxos Commit acceptor hard state (promise
-	// watermarks and accepted outcome values): a compacted log must still
-	// let a majority reconstruct an undecided instance's outcome. Absent
-	// from pre-Paxos snapshots, which gob decodes as nil.
-	Acceptors map[TxnID]commit.Acceptor
-}
-
-// encodeSnapshot serializes the DM's complete state. Replicas are listed in
-// item order so snapshots of identical state are structurally identical.
-// Leases, in-flight inquiries, and freshness hints are soft state and
-// deliberately absent: recovery re-stamps fresh leases (which only delays
-// reaping) and rebuilds an empty hint table (a recovered replica serves no
-// hinted reads until a commit or the sweeper re-proves its freshness).
+// encodeSnapshot serializes the DM's complete state: the format version,
+// then replicas, resolution records, retirement markers and Paxos acceptor
+// state, every map in sorted key order so snapshots of identical state are
+// identical bytes. Leases, in-flight inquiries, and freshness hints are
+// soft state and deliberately absent: recovery re-stamps fresh leases
+// (which only delays reaping) and rebuilds an empty hint table (a
+// recovered replica serves no hinted reads until a commit or the sweeper
+// re-proves its freshness).
 func encodeSnapshot(s *dmServer) ([]byte, error) {
-	snap := dmSnap{Resolved: map[TxnID]resolutionSnap{}}
-	for t, res := range s.resolved {
-		snap.Resolved[t] = resolutionSnap{Committed: res.committed, Subs: res.subs}
-	}
-	if len(s.moved) > 0 {
-		snap.Moved = map[string]WrongShardResp{}
-		for item, w := range s.moved {
-			snap.Moved[item] = w
-		}
-	}
-	if len(s.acceptors) > 0 {
-		snap.Acceptors = map[TxnID]commit.Acceptor{}
-		for t, acc := range s.acceptors {
-			snap.Acceptors[t] = *acc
-		}
-	}
-	names := make([]string, 0, len(s.replicas))
-	for name := range s.replicas {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		r := s.replicas[name]
-		rs := replicaSnap{
-			Item: name, VN: r.vn, Val: r.val, Gen: r.gen, Cfg: r.cfg.Clone(),
-			Locks:    r.locks,
-			LockSeqs: r.lockSeqs, LockBorn: r.lockBorn, Released: r.released,
-		}
-		for _, in := range r.intents {
-			rs.Intents = append(rs.Intents, intentSnap{
-				Owner: in.owner, IsConfig: in.isConfig,
-				VN: in.vn, Val: in.val, Gen: in.gen, Cfg: in.cfg.Clone(),
-			})
-		}
-		snap.Replicas = append(snap.Replicas, rs)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+	e := wire.NewEncoder(nil)
+	e.Byte(wire.Version)
+	wire.Map(e, s.replicas, func(e *wire.Encoder, r *replica) {
+		e.Int(r.vn)
+		e.Value(r.val)
+		e.Int(r.gen)
+		putCfg(e, r.cfg)
+		wire.Map(e, r.locks, func(e *wire.Encoder, m LockMode) { e.Int(int(m)) })
+		wire.Slice(e, r.intents, func(e *wire.Encoder, in intent) {
+			e.String(string(in.owner))
+			e.Bool(in.isConfig)
+			e.Int(in.vn)
+			e.Value(in.val)
+			e.Int(in.gen)
+			putCfg(e, in.cfg)
+		})
+		wire.Map(e, r.lockSeqs, (*wire.Encoder).Int)
+		wire.Map(e, r.lockBorn, (*wire.Encoder).Int)
+		wire.Map(e, r.released, (*wire.Encoder).Int)
+	})
+	wire.Map(e, s.resolved, func(e *wire.Encoder, r *resolution) {
+		e.Bool(r.committed)
+		wire.Strings(e, r.subs)
+	})
+	// Retirement markers are hard state like the replicas themselves: a
+	// compacted log must still answer WrongShard redirects. Acceptor state
+	// likewise: a compacted log must still let a majority reconstruct an
+	// undecided instance's outcome.
+	wire.Map(e, s.moved, putWrongShard)
+	wire.Map(e, s.acceptors, func(e *wire.Encoder, a *commit.Acceptor) { putAcceptor(e, *a) })
+	if err := e.Err(); err != nil {
 		return nil, fmt.Errorf("cluster: encode wal snapshot: %w", err)
 	}
-	return buf.Bytes(), nil
+	return e.Bytes(), nil
 }
 
 // restoreSnapshot overwrites the DM's state with a decoded snapshot.
 func restoreSnapshot(s *dmServer, b []byte) error {
-	var snap dmSnap
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&snap); err != nil {
-		return fmt.Errorf("cluster: decode wal snapshot: %w", err)
-	}
-	s.resolved = map[TxnID]*resolution{}
-	for t, rs := range snap.Resolved {
-		s.resolved[t] = &resolution{committed: rs.Committed, subs: rs.Subs}
-	}
-	s.moved = map[string]WrongShardResp{}
-	for item, w := range snap.Moved {
-		s.moved[item] = w
-	}
-	s.acceptors = map[TxnID]*commit.Acceptor{}
-	for t, acc := range snap.Acceptors {
-		a := acc
-		s.acceptors[t] = &a
-	}
-	s.replicas = map[string]*replica{}
-	for _, rs := range snap.Replicas {
-		r := &replica{
-			vn: rs.VN, val: rs.Val, gen: rs.Gen, cfg: rs.Cfg,
-			locks:    rs.Locks,
-			lockSeqs: rs.LockSeqs, lockBorn: rs.LockBorn, released: rs.Released,
-		}
+	d := wire.NewDecoder(b)
+	d.CheckVersion()
+	replicas := wire.ReadMap[string](d, func(d *wire.Decoder) *replica {
+		r := &replica{vn: d.Int(), val: d.Value(), gen: d.Int(), cfg: getCfg(d)}
+		r.locks = wire.ReadMap[TxnID](d, func(d *wire.Decoder) LockMode { return LockMode(d.Int()) })
+		r.intents = wire.ReadSlice(d, func(d *wire.Decoder) intent {
+			return intent{owner: TxnID(d.String()), isConfig: d.Bool(), vn: d.Int(), val: d.Value(), gen: d.Int(), cfg: getCfg(d)}
+		})
+		r.lockSeqs = wire.ReadMap[TxnID](d, (*wire.Decoder).Int)
+		r.lockBorn = wire.ReadMap[TxnID](d, (*wire.Decoder).Int)
+		r.released = wire.ReadMap[TxnID](d, (*wire.Decoder).Int)
 		if r.locks == nil {
 			r.locks = map[TxnID]LockMode{}
 		}
-		for _, in := range rs.Intents {
-			r.intents = append(r.intents, intent{
-				owner: in.Owner, isConfig: in.IsConfig,
-				vn: in.VN, val: in.Val, gen: in.Gen, cfg: in.Cfg,
-			})
-		}
-		s.replicas[rs.Item] = r
+		return r
+	})
+	resolved := wire.ReadMap[TxnID](d, func(d *wire.Decoder) *resolution {
+		return &resolution{committed: d.Bool(), subs: wire.ReadStrings[TxnID](d)}
+	})
+	moved := wire.ReadMap[string](d, getWrongShard)
+	acceptors := wire.ReadMap[TxnID](d, func(d *wire.Decoder) *commit.Acceptor {
+		a := getAcceptor(d)
+		return &a
+	})
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("cluster: decode wal snapshot: %w", err)
 	}
+	s.replicas = orEmpty(replicas)
+	s.resolved = orEmpty(resolved)
+	s.moved = orEmpty(moved)
+	s.acceptors = orEmpty(acceptors)
 	return nil
+}
+
+// orEmpty returns m, or an empty map in place of nil: the state machine
+// writes into these maps.
+func orEmpty[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil {
+		return map[K]V{}
+	}
+	return m
 }
 
 // RecoveryStats reports what a durable DM rebuilt when it opened its log.
@@ -278,14 +226,19 @@ func (d *dmWAL) handle(_ string, req any, reply func(any)) {
 		reply(resp)
 		return
 	}
+	// Encode before applying: a request the log cannot carry must not
+	// leave locks or intentions in memory that no record backs. It is
+	// refused untouched. (Values are checked where they enter a store, so
+	// only a hand-built request can get here.)
+	rec, err := encodeRecord(req)
+	if err != nil {
+		reply(Ack{OK: false})
+		return
+	}
 	resp, mutated := d.srv.apply(req)
 	if !mutated {
 		reply(resp)
 		return
-	}
-	rec, err := encodeRecord(req)
-	if err != nil {
-		return // cannot persist ⇒ never acknowledge
 	}
 	// Fail closed on write errors: an append the log refuses (or fails at
 	// flush — ENOSPC, a dying disk) quarantines the replica instead of
@@ -317,12 +270,11 @@ func (d *dmWAL) selfApply(req any) {
 	if d.quarantined() != nil {
 		return
 	}
-	_, mutated := d.srv.apply(req)
-	if !mutated {
-		return
-	}
 	rec, err := encodeRecord(req)
 	if err != nil {
+		return
+	}
+	if _, mutated := d.srv.apply(req); !mutated {
 		return
 	}
 	if aerr := d.log.AppendCallback(rec, func(ferr error) {

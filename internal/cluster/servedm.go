@@ -37,7 +37,8 @@ type DMHost struct {
 // the same flags resumes exactly where the log ends. Options that shape
 // the server side (WithDurability, WithWALOptions, WithSnapshotEvery,
 // WithLeaseTTL, WithClock, WithAdmissionCapacity, WithServiceTime,
-// WithReadLease, WithReadLeaseTTL) apply; client-side options are ignored.
+// WithReadLease, WithReadLeaseTTL, WithResolvedRetention) apply;
+// client-side options are ignored.
 func ServeDM(tr transport.Transport, id string, items []ItemSpec, opts ...Option) (*DMHost, error) {
 	st := resolve(opts)
 	var mine []ItemSpec
@@ -45,6 +46,9 @@ func ServeDM(tr transport.Transport, id string, items []ItemSpec, opts ...Option
 	seen := map[string]bool{}
 	hosts := false
 	for _, it := range items {
+		if err := checkValue(it.Name, it.Initial); err != nil {
+			return nil, err
+		}
 		for _, dm := range it.DMs {
 			if dm == id {
 				hosts = true
@@ -62,6 +66,7 @@ func ServeDM(tr transport.Transport, id string, items []ItemSpec, opts ...Option
 	host := &DMHost{}
 	wire := func(srv *dmServer) {
 		srv.configureLeases(st.leaseTTL, st.clock, peerSet, &host.Stats)
+		srv.configureRetention(st.resolvedRetention)
 		if st.readLease {
 			srv.configureHints(st.readLeaseTTL)
 		}

@@ -23,6 +23,12 @@ import (
 
 // ItemSpec describes one replicated logical data item: its initial value,
 // the DMs that replicate it, and its initial quorum configuration.
+//
+// Configurations are immutable values throughout the cluster: every holder
+// replaces one wholesale and none mutates one in place, so the store and
+// its replicas share the Config given here instead of copying it. Do not
+// modify its quorum sets after passing the spec to Open, OpenClient or
+// ServeDM.
 type ItemSpec struct {
 	Name    string
 	Initial any
@@ -343,6 +349,9 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 	for _, it := range items {
 		if err := it.Config.Validate(it.DMs); err != nil {
 			return nil, fmt.Errorf("cluster: item %q: %w", it.Name, err)
+		}
+		if err := checkValue(it.Name, it.Initial); err != nil {
+			return nil, err
 		}
 		if _, dup := s.items[it.Name]; dup {
 			return nil, fmt.Errorf("cluster: duplicate item %q", it.Name)
@@ -1560,10 +1569,15 @@ func (t *Txn) ReadForUpdate(ctx context.Context, item string) (any, error) {
 
 // Write performs a logical write: discover the current version number from
 // a read-quorum (under write locks — update locking), then write
-// (vn+1, val) to a write-quorum.
+// (vn+1, val) to a write-quorum. val must be one of the kinds every backend
+// carries — nil, bool, int, int64, uint64, float64, string or []byte —
+// or Write refuses it up front with a *ValueError, touching nothing.
 func (t *Txn) Write(ctx context.Context, item string, val any) error {
 	if t.done {
 		return ErrTxnDone
+	}
+	if err := checkValue(item, val); err != nil {
+		return err
 	}
 	if err := t.store.writeGate("write", item); err != nil {
 		return err
@@ -1606,6 +1620,9 @@ func (t *Txn) nextWriteVN(item string, readVN int) int {
 func (t *Txn) WriteVersioned(ctx context.Context, item string, val any) (int, error) {
 	if t.done {
 		return 0, ErrTxnDone
+	}
+	if err := checkValue(item, val); err != nil {
+		return 0, err
 	}
 	if err := t.store.writeGate("write", item); err != nil {
 		return 0, err

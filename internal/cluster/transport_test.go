@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -232,6 +233,46 @@ func TestTransportParityErrorTaxonomy(t *testing.T) {
 				t.Fatalf("raw *net.OpError leaked on cancellation: %v", err)
 			}
 		})
+	})
+}
+
+// TestTransportParityValueKinds pins one value rule on every backend: a
+// value outside the wire codec's kinds is refused up front with the typed
+// *ValueError — by Txn.Write, and by Open for an item's initial value — on
+// the sim exactly as on TCP, where the sim used to accept what only a real
+// socket or log replay would then fail on. Every kind the codec carries
+// commits and reads back unchanged.
+func TestTransportParityValueKinds(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, tr transport.Transport) {
+		store, _ := openTestStore(t, tr)
+		ctx := context.Background()
+		kept := []any{nil, true, -7, int64(1) << 40, uint64(1) << 63, 0.5, "s", []byte{1, 2}}
+		for _, want := range kept {
+			if err := store.Run(ctx, func(tx *Txn) error {
+				var ve *ValueError
+				if err := tx.Write(ctx, "x", []int{1}); !errors.As(err, &ve) {
+					return fmt.Errorf("write of []int gave %v, want a *ValueError", err)
+				}
+				return tx.Write(ctx, "x", want)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Run(ctx, func(tx *Txn) error {
+				got, err := tx.Read(ctx, "x")
+				if err == nil && !reflect.DeepEqual(got, want) {
+					t.Errorf("wrote %#v (%T), read back %#v (%T)", want, want, got, got)
+				}
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dms := []string{"vk0"}
+		_, err := Open(tr, []ItemSpec{{Name: "y", Initial: struct{}{}, DMs: dms, Config: quorum.Majority(dms)}})
+		var ve *ValueError
+		if !errors.As(err, &ve) {
+			t.Fatalf("Open with a struct initial value gave %v, want a *ValueError", err)
+		}
 	})
 }
 

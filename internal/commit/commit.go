@@ -70,7 +70,7 @@ type Decision struct {
 // Acceptor is the per-transaction Paxos acceptor hard state. It lives in
 // the replica server's state map, is mutated only through WAL-logged
 // requests (persist-before-ack), and is carried whole inside snapshots —
-// all fields are exported for gob.
+// internal/cluster's wire codec writes every field.
 type Acceptor struct {
 	// Promised is the highest ballot this acceptor has promised. Zero is
 	// meaningful (the coordinator's own ballot), so Prepared/Accepted

@@ -42,16 +42,24 @@ func (g *Gauge) Add(d int64) { g.n.Add(d) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.n.Load() }
 
-// Histogram records duration samples and reports simple summary statistics.
+// Histogram records duration samples and reports simple summary statistics
+// over a sliding window of the most recent sampleWindow observations, so a
+// long-running store's latency histograms stay bounded.
 type Histogram struct {
 	mu      sync.Mutex
-	samples []time.Duration
+	samples []time.Duration // observation i lives at i % sampleWindow
+	total   int             // observations ever, including ones the window evicted
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(d time.Duration) {
 	h.mu.Lock()
-	h.samples = append(h.samples, d)
+	if len(h.samples) < sampleWindow {
+		h.samples = append(h.samples, d)
+	} else {
+		h.samples[h.total%sampleWindow] = d
+	}
+	h.total++
 	h.mu.Unlock()
 }
 
@@ -62,15 +70,16 @@ func (h *Histogram) ObserveSince(t0 time.Time) {
 	h.Observe(time.Since(t0))
 }
 
-// intHistWindow bounds how many samples an IntHistogram retains. Queue
-// depths are observed once per admitted request, so a sustained overload
-// campaign would otherwise grow the sample slice without bound while
-// Snapshot sorts it under the same lock the recording path needs.
-const intHistWindow = 1 << 16
+// sampleWindow bounds how many samples a Histogram or IntHistogram
+// retains. Latencies are observed per operation and queue depths once per
+// admitted request, so a long run or a sustained overload campaign would
+// otherwise grow the sample slice without bound while Snapshot sorts it
+// under the same lock the recording path needs.
+const sampleWindow = 1 << 12
 
 // IntHistogram records dimensionless integer samples (batch sizes, queue
 // depths, replay counts) and reports simple summary statistics over a
-// sliding window of the most recent intHistWindow observations. The
+// sliding window of the most recent sampleWindow observations. The
 // duration Histogram stays separate so call sites never mix units.
 //
 // It is safe for concurrent use: replica service goroutines record into it
@@ -84,10 +93,10 @@ type IntHistogram struct {
 // Observe records one sample.
 func (h *IntHistogram) Observe(v int64) {
 	h.mu.Lock()
-	if len(h.samples) < intHistWindow {
+	if len(h.samples) < sampleWindow {
 		h.samples = append(h.samples, v)
 	} else {
-		h.samples[h.total%intHistWindow] = v
+		h.samples[h.total%sampleWindow] = v
 	}
 	h.total++
 	h.mu.Unlock()
@@ -142,7 +151,9 @@ func (s IntSummary) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f p50=%d p95=%d max=%d", s.Count, s.Mean, s.P50, s.P95, s.Max)
 }
 
-// Summary holds the statistics of a histogram snapshot.
+// Summary holds the statistics of a histogram snapshot. Count is the
+// number of observations in the requested range, including ones the window
+// evicted; the other fields summarize the retained ones.
 type Summary struct {
 	Count int
 	Mean  time.Duration
@@ -152,23 +163,29 @@ type Summary struct {
 	Max   time.Duration
 }
 
-// Count returns the number of samples recorded so far.
+// Count returns the number of samples recorded so far, including ones the
+// window evicted.
 func (h *Histogram) Count() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.samples)
+	return h.total
 }
 
-// Snapshot computes summary statistics over the samples so far.
+// Snapshot computes summary statistics over the retained samples.
 func (h *Histogram) Snapshot() Summary { return h.SnapshotAfter(0) }
 
 // SnapshotAfter computes summary statistics over the samples recorded
-// after the first skip ones — a window for per-phase reporting.
+// after the first skip ones — a window for per-phase reporting — as far as
+// the sliding window still retains them.
 func (h *Histogram) SnapshotAfter(skip int) Summary {
 	h.mu.Lock()
+	count := h.total - skip
 	var samples []time.Duration
-	if skip < len(h.samples) {
-		samples = append(samples, h.samples[skip:]...)
+	if start := max(skip, h.total-len(h.samples)); start < h.total {
+		samples = make([]time.Duration, 0, h.total-start)
+		for i := start; i < h.total; i++ {
+			samples = append(samples, h.samples[i%sampleWindow])
+		}
 	}
 	h.mu.Unlock()
 	if len(samples) == 0 {
@@ -184,7 +201,7 @@ func (h *Histogram) SnapshotAfter(skip int) Summary {
 		return samples[i]
 	}
 	return Summary{
-		Count: len(samples),
+		Count: count,
 		Mean:  total / time.Duration(len(samples)),
 		P50:   pct(0.50),
 		P95:   pct(0.95),

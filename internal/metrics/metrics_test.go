@@ -78,6 +78,26 @@ func TestSnapshotAfterWindows(t *testing.T) {
 	}
 }
 
+func TestHistogramWindowBounded(t *testing.T) {
+	var h Histogram
+	n := sampleWindow + 5000
+	for i := 0; i < n; i++ {
+		h.Observe(time.Duration(i))
+	}
+	if h.Count() != n {
+		t.Errorf("Count = %d, want %d (evicted samples still counted)", h.Count(), n)
+	}
+	if len(h.samples) != sampleWindow {
+		t.Errorf("retained %d samples, want window of %d", len(h.samples), sampleWindow)
+	}
+	if s := h.Snapshot(); s.Count != n || s.Max != time.Duration(n-1) || s.P50 < time.Duration(n-sampleWindow) {
+		t.Errorf("snapshot = %+v, want all %d counted and the newest %d summarized", s, n, sampleWindow)
+	}
+	if s := h.SnapshotAfter(n - 3); s.Count != 3 || s.Max != time.Duration(n-1) {
+		t.Errorf("SnapshotAfter(n-3) = %+v, want the last 3 samples", s)
+	}
+}
+
 func TestIntHistogramSummary(t *testing.T) {
 	var h IntHistogram
 	for i := 1; i <= 100; i++ {
@@ -100,7 +120,7 @@ func TestIntHistogramSummary(t *testing.T) {
 
 func TestIntHistogramWindowBounded(t *testing.T) {
 	var h IntHistogram
-	n := intHistWindow + 5000
+	n := sampleWindow + 5000
 	for i := 0; i < n; i++ {
 		h.Observe(int64(i))
 	}
@@ -108,8 +128,8 @@ func TestIntHistogramWindowBounded(t *testing.T) {
 		t.Errorf("Count = %d, want %d (evicted samples still counted)", h.Count(), n)
 	}
 	s := h.Snapshot()
-	if len(h.samples) != intHistWindow {
-		t.Errorf("retained %d samples, want window of %d", len(h.samples), intHistWindow)
+	if len(h.samples) != sampleWindow {
+		t.Errorf("retained %d samples, want window of %d", len(h.samples), sampleWindow)
 	}
 	if s.Max != int64(n-1) {
 		t.Errorf("Max = %d, want newest sample %d retained", s.Max, n-1)

@@ -5,7 +5,9 @@
 //
 // Determinism is the contract. Placement is a function of (Seed, VNodes,
 // group names, overrides) alone: the same ring state produces the same
-// placement in every process, on every run, after any gob round-trip.
+// placement in every process, on every run, and after the ring travels
+// between processes (internal/cluster carries its exported fields on the
+// wire inside RingResp and RingUpdateReq).
 // That is what lets a chaos campaign replay a sharded cluster bit-for-bit
 // from one int64 seed, and lets separate OS processes agree on placement
 // from nothing but the serve flags.
@@ -16,8 +18,6 @@
 package shard
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -49,10 +49,10 @@ type point struct {
 	group string
 }
 
-// Ring is the placement state. Exported fields are the marshaled identity
-// (gob round-trips them); the sorted vnode points are derived and rebuilt
-// lazily after mutation or decode, so a decoded ring places identically
-// to the ring that was encoded.
+// Ring is the placement state. Exported fields are the ring's identity —
+// all that travels on the wire; the sorted vnode points are derived and
+// rebuilt lazily after mutation or decode, so a decoded ring places
+// identically to the ring that was encoded.
 type Ring struct {
 	// Seed perturbs every vnode hash, so independent rings (test
 	// fixtures, disjoint clusters) get independent placements.
@@ -312,30 +312,6 @@ func (r *Ring) Spread(keys []string) map[string]int {
 		out[r.Lookup(k)]++
 	}
 	return out
-}
-
-// Marshal encodes the ring's identity (seed, vnodes, epoch, groups,
-// overrides — not the derived points) with gob.
-func (r *Ring) Marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		return nil, fmt.Errorf("shard: encode ring: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal decodes a ring previously encoded with Marshal. The derived
-// points rebuild on first lookup, so placement is identical to the
-// encoded ring's.
-func Unmarshal(data []byte) (*Ring, error) {
-	var r Ring
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&r); err != nil {
-		return nil, fmt.Errorf("shard: decode ring: %w", err)
-	}
-	if r.VNodes <= 0 {
-		return nil, fmt.Errorf("shard: decoded ring has vnodes %d", r.VNodes)
-	}
-	return &r, nil
 }
 
 // Keys generates n keys "prefix0" … "prefix<n-1>" — the fixed keyspaces

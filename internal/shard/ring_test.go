@@ -119,47 +119,6 @@ func TestRingRebalanceBound(t *testing.T) {
 	}
 }
 
-// Gob round-trip preserves placement exactly: the derived points rebuild
-// from the marshaled identity.
-func TestRingGobRoundTrip(t *testing.T) {
-	keys := Keys("k", 256)
-	r := mustRing(t, 11, 64, 4)
-	if err := r.MoveKey("k3", "g2"); err != nil {
-		t.Fatalf("MoveKey: %v", err)
-	}
-	data, err := r.Marshal()
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	got, err := Unmarshal(data)
-	if err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	if got.Epoch != r.Epoch || got.Seed != r.Seed || got.VNodes != r.VNodes {
-		t.Fatalf("identity changed: got %+v want %+v", got, r)
-	}
-	for _, k := range keys {
-		if a, b := r.Lookup(k), got.Lookup(k); a != b {
-			t.Fatalf("key %q: decoded ring places at %q, original at %q", k, b, a)
-		}
-	}
-	// Second round-trip is byte-stable (no derived state leaks into the
-	// encoding).
-	data2, err := got.Marshal()
-	if err != nil {
-		t.Fatalf("Marshal twice: %v", err)
-	}
-	r2, err := Unmarshal(data2)
-	if err != nil {
-		t.Fatalf("Unmarshal twice: %v", err)
-	}
-	for _, k := range keys {
-		if a, b := r.Lookup(k), r2.Lookup(k); a != b {
-			t.Fatalf("key %q: second round-trip diverged", k)
-		}
-	}
-}
-
 func TestRingMoveKeyAndAdopt(t *testing.T) {
 	r := mustRing(t, 3, 64, 3)
 	key := "k0"

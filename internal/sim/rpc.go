@@ -10,20 +10,6 @@ import (
 	"repro/internal/transport"
 )
 
-// ErrRPCTimeout is returned by Call when the context expires before a reply
-// arrives (lost request, lost reply, crashed server, or slow link — the
-// caller cannot tell, exactly as in a real network). It is the shared
-// transport.ErrTimeout sentinel, so callers can match either name.
-var ErrRPCTimeout = transport.ErrTimeout
-
-// ErrCallLost is returned by Call under Config.FateFeedback when the
-// network reports that the request or its reply was dropped — crashed
-// peer, severed link, or sampled loss. It carries the same meaning as
-// ErrRPCTimeout (no answer is coming) but arrives the moment the fate is
-// decided, so deterministic harnesses never race a timer against the
-// scheduler. It is the shared transport.ErrLost sentinel.
-var ErrCallLost = transport.ErrLost
-
 // callLost is the sentinel a drop watcher delivers on a pending call's
 // channel in place of a response.
 type callLost struct{}
@@ -151,7 +137,7 @@ func (n *Node) sendRejection(q transport.Queued, resp any) {
 
 // onDrop receives the fate of a lost message that named this node. If the
 // message was a request this node sent, or a reply addressed to it, the
-// matching pending call fails immediately with ErrCallLost.
+// matching pending call fails immediately with transport.ErrLost.
 func (n *Node) onDrop(m Message) {
 	var id uint64
 	switch p := m.Payload.(type) {
@@ -259,7 +245,9 @@ func (n *Node) serve(from string, p envelope) {
 }
 
 // Call sends req to the node named to and waits for its reply or ctx
-// expiry. Lost messages surface as ErrRPCTimeout via the context.
+// expiry. Lost messages surface as transport.ErrTimeout via the context
+// (or, under Config.FateFeedback, as transport.ErrLost the moment the
+// network decides their fate).
 func (n *Node) Call(ctx context.Context, to string, req any) (any, error) {
 	id := n.nextID.Add(1)
 	ch := make(chan any, 1)
@@ -277,14 +265,14 @@ func (n *Node) Call(ctx context.Context, to string, req any) (any, error) {
 	select {
 	case resp := <-ch:
 		if _, lost := resp.(callLost); lost {
-			return nil, ErrCallLost
+			return nil, transport.ErrLost
 		}
 		return resp, nil
 	case <-ctx.Done():
 		n.mu.Lock()
 		delete(n.pending, id)
 		n.mu.Unlock()
-		return nil, ErrRPCTimeout
+		return nil, transport.ErrTimeout
 	case <-n.stop:
 		return nil, errors.New("node shut down")
 	}

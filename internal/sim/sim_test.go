@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/transport"
 )
 
 func TestSendDeliver(t *testing.T) {
@@ -154,8 +156,8 @@ func TestRPCTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	_, err := client.Call(ctx, "nobody", 1)
-	if !errors.Is(err, ErrRPCTimeout) {
-		t.Fatalf("want ErrRPCTimeout, got %v", err)
+	if !errors.Is(err, transport.ErrTimeout) {
+		t.Fatalf("want transport.ErrTimeout, got %v", err)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package tcp implements the transport seam over real sockets: every served
-// name is a TCP listener, every Call one length-prefixed gob frame and its
-// reply on a pooled connection. It is the backend that turns a quorum
+// name is a TCP listener, every Call one length-prefixed wire-codec frame
+// and its reply on a pooled connection. It is the backend that turns a quorum
 // cluster into N ordinary OS processes — same protocol code, same envelope
 // semantics as the deterministic sim network:
 //
@@ -262,12 +262,6 @@ type clientConn struct {
 	dead    bool
 }
 
-func (cc *clientConn) write(f Frame) error {
-	cc.wmu.Lock()
-	defer cc.wmu.Unlock()
-	return writeFrame(cc.c, f)
-}
-
 func (cc *clientConn) addPending(id uint64, ch chan any) {
 	cc.mu.Lock()
 	cc.pending[id] = ch
@@ -355,8 +349,9 @@ func (c *caller) evict(to string, cc *clientConn) {
 // readLoop delivers replies arriving on one connection and turns any read
 // failure into the lost fate for every call pending on it.
 func (c *caller) readLoop(to string, cc *clientConn) {
+	fr := newFrameReader(cc.c)
 	for {
-		f, err := readFrame(cc.c)
+		f, err := fr.next()
 		if err != nil {
 			c.evict(to, cc)
 			cc.fail()
@@ -404,16 +399,17 @@ func (c *caller) call(ctx context.Context, to string, req any) (any, error) {
 }
 
 // send writes one frame, mapping transmission failure to the lost fate and
-// keeping encode failures (unregistered payload types — a programming
-// error) distinct and loud.
+// keeping encode failures (an untagged payload type or a value outside
+// the codec's kinds — a programming error) distinct and loud.
 func (c *caller) send(to string, cc *clientConn, f Frame) error {
-	body, err := EncodeFrame(f)
+	buf, err := encodeFramed(f)
 	if err != nil {
 		return err
 	}
 	cc.wmu.Lock()
-	werr := writeBody(cc.c, body)
+	_, werr := cc.c.Write(*buf)
 	cc.wmu.Unlock()
+	putFramed(buf)
 	if werr != nil {
 		c.evict(to, cc)
 		cc.fail()
@@ -484,26 +480,14 @@ type srvConn struct {
 }
 
 func (sc *srvConn) write(f Frame) {
-	body, err := EncodeFrame(f)
+	buf, err := encodeFramed(f)
 	if err != nil {
 		return // unencodable reply: the caller will time out, loudly
 	}
 	sc.wmu.Lock()
-	writeBody(sc.c, body)
+	_, _ = sc.c.Write(*buf) // a failed write surfaces in the read loop, which retires the connection
 	sc.wmu.Unlock()
-}
-
-func writeBody(c net.Conn, body []byte) error {
-	var hdr [4]byte
-	hdr[0] = byte(len(body) >> 24)
-	hdr[1] = byte(len(body) >> 16)
-	hdr[2] = byte(len(body) >> 8)
-	hdr[3] = byte(len(body))
-	if _, err := c.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := c.Write(body)
-	return err
+	putFramed(buf)
 }
 
 // serverReq is one delivered request on its way to the dispatch loop.
@@ -567,8 +551,9 @@ func (s *Server) acceptLoop() {
 func (s *Server) readLoop(conn net.Conn) {
 	defer s.readers.Done()
 	sc := &srvConn{c: conn}
+	fr := newFrameReader(conn)
 	for {
-		f, err := readFrame(conn)
+		f, err := fr.next()
 		if err != nil {
 			s.retire(conn, sc)
 			return

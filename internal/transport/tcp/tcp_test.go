@@ -2,21 +2,31 @@ package tcp
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 type echoReq struct{ N int }
 type echoResp struct{ N int }
 
+// Test-only tags, far above the protocol's range so the tcp tests never
+// collide with a registering package.
 func init() {
-	gob.Register(echoReq{})
-	gob.Register(echoResp{})
+	wire.Register(60001, func(e *wire.Encoder, m echoReq) { e.Int(m.N) }, func(d *wire.Decoder) echoReq { return echoReq{N: d.Int()} })
+	wire.Register(60002, func(e *wire.Encoder, m echoResp) { e.Int(m.N) }, func(d *wire.Decoder) echoResp { return echoResp{N: d.Int()} })
+	wire.Register(60003, func(e *wire.Encoder, m noteReq) { e.String(m.S); e.Value(m.V) }, func(d *wire.Decoder) noteReq { return noteReq{S: d.String(), V: d.Value()} })
+}
+
+// noteReq carries a string and an opaque value, the payloads that could
+// alias a reused read buffer.
+type noteReq struct {
+	S string
+	V any
 }
 
 func echo(from string, req any, reply func(any)) {
