@@ -34,14 +34,17 @@ chaos:
 # filesystem (recovery must replay, truncate a torn tail, or fail with a
 # typed corruption error — never panic, never serve damage), the TCP
 # transport's wire envelope (malformed frames must fail with a typed decode
-# error, never a panic), and the message codec frames and log records share
-# (arbitrary bytes decode to a value or a typed wire error, never a panic).
+# error, never a panic), the message codec frames and log records share
+# (arbitrary bytes decode to a value or a typed wire error, never a panic),
+# and the DM state machine (random request sequences through apply, with
+# snapshot round trips, must match a reference that scans every replica).
 fuzz:
 	$(GO) test ./internal/quorum/ -fuzz FuzzConfig -fuzztime 30s
 	$(GO) test ./internal/wal/ -fuzz FuzzRecord -fuzztime 30s
 	$(GO) test ./internal/wal/ -fuzz FuzzSegment -fuzztime 30s
 	$(GO) test ./internal/transport/tcp/ -fuzz FuzzEnvelope -fuzztime 30s
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzMessage -fuzztime 30s
+	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzDMApply -fuzztime 30s
 
 # Multi-process smoke: a real 3-replica qcstore cluster as separate OS
 # processes over TCP — nested transaction committed through quorums, one
@@ -55,7 +58,8 @@ proc-smoke:
 # installed — the toolchain image may not carry it), an explicit race pass
 # over the chaos campaigns (they stress every cross-goroutine path the
 # self-healing machinery added), the race pass, short fuzz smokes (quorum
-# invariants, WAL records, TCP wire envelope, wire messages), the qcstore durable-mode
+# invariants, WAL records, TCP wire envelope, wire messages, DM apply
+# against its reference), the qcstore durable-mode
 # end-to-end demo (open, write, close, reopen from the WALs, read back),
 # the multi-process kill -9 recovery smoke (real qcstore server processes
 # over TCP), the overload smoke (the three-arm goodput gate — protections
@@ -87,6 +91,7 @@ verify: build vet staticcheck test race
 	$(GO) test ./internal/wal/ -fuzz FuzzSegment -fuzztime 5s
 	$(GO) test ./internal/transport/tcp/ -fuzz FuzzEnvelope -fuzztime 5s
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzMessage -fuzztime 5s
+	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzDMApply -fuzztime 5s
 	d=$$(mktemp -d) && $(GO) run ./cmd/qcstore -dir $$d >/dev/null && rm -rf $$d
 	$(GO) build -o bin/qcstore ./cmd/qcstore
 	$(GO) run ./cmd/qchaos -proc -bin bin/qcstore

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"testing"
 	"time"
 
@@ -21,6 +22,7 @@ import (
 	"repro/internal/quorum"
 	"repro/internal/reconfig"
 	"repro/internal/sim"
+	"repro/internal/transport"
 	"repro/internal/transport/tcp"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -1045,3 +1047,62 @@ func BenchmarkWALReplay(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(replayed), "us/record")
 	b.ReportMetric(float64(replayed)/float64(b.N), "records/op")
 }
+
+// BenchmarkDMCommit measures one DM's apply cost for a one-item
+// transaction — a WriteReq, then its CommitTopReq — on a replica hosting
+// `hosted` items, through ServeDM's handler with no network in between.
+// Commit and abort visit only the items the transaction touched, so ns/op
+// and allocs/op stay flat as the hosted keyspace grows.
+func BenchmarkDMCommit(b *testing.B) {
+	for _, hosted := range []int{16, 1024, 16384} {
+		b.Run(fmt.Sprintf("hosted=%d", hosted), func(b *testing.B) {
+			dms := []string{"dm0"}
+			cfg := quorum.Majority(dms)
+			items := make([]cluster.ItemSpec, hosted)
+			for i := range items {
+				items[i] = cluster.ItemSpec{Name: fmt.Sprintf("k%d", i), Initial: 0, DMs: dms, Config: cfg}
+			}
+			tr := &directTransport{}
+			if _, err := cluster.ServeDM(tr, "dm0", items); err != nil {
+				b.Fatal(err)
+			}
+			var resp any
+			reply := func(r any) { resp = r }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				txn := cluster.TxnID("c1.t" + strconv.Itoa(i+1))
+				item := items[i%hosted].Name
+				tr.h("c1", cluster.WriteReq{Txn: txn, Item: item, VN: i + 1, Val: i, Seq: 1}, reply)
+				if w, ok := resp.(cluster.WriteResp); !ok || !w.OK {
+					b.Fatalf("write answered %#v", resp)
+				}
+				tr.h("c1", cluster.CommitTopReq{Txn: txn, Final: map[string]int{item: i + 1}}, reply)
+				if a, ok := resp.(cluster.Ack); !ok || !a.OK {
+					b.Fatalf("commit answered %#v", resp)
+				}
+			}
+		})
+	}
+}
+
+// directTransport serves exactly one handler and lets the caller invoke it
+// synchronously: the DM's own cost, without a network.
+type directTransport struct{ h transport.Handler }
+
+func (d *directTransport) Serve(id string, h transport.Handler, _ ...transport.ServeOption) (transport.Server, error) {
+	d.h = h
+	return directServer(id), nil
+}
+
+func (d *directTransport) Client(string) (transport.Client, error) {
+	return nil, errors.New("directTransport: no clients")
+}
+
+func (d *directTransport) Quiesce() {}
+
+type directServer string
+
+func (s directServer) ID() string       { return string(s) }
+func (directServer) Notify(string, any) {}
+func (directServer) Close()             {}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"sort"
 	"sync"
 	"time"
 
@@ -69,22 +70,34 @@ type dmServer struct {
 	// logged, never replayed, rebuilt from serve flags after amnesia.
 	ring *shard.Ring
 
-	// resolved remembers finished top-level transactions (committed or
-	// aborted) so CommitTopReq is idempotent under client retries, so late
-	// request copies from cancelled fan-outs cannot grant locks for a
-	// transaction that no longer exists, and so lease-resolution inquiries
-	// from peers can be answered authoritatively.
+	// resolved and verdicts remember finished top-level transactions
+	// (committed or aborted) so CommitTopReq is idempotent under client
+	// retries, so late request copies from cancelled fan-outs cannot grant
+	// locks for a transaction that no longer exists, and so lease-resolution
+	// inquiries from peers can be answered authoritatively. Read them only
+	// through verdict.
 	resolved map[TxnID]*resolution
+	verdicts verdictSet
 
 	// Resolved-record retention (DESIGN.md §12). resolvedLog remembers
-	// resolution order; once it exceeds resolvedCap, the oldest records are
-	// compacted to outcome tombstones — the committed/aborted verdict stays
-	// forever (idempotency and settle probes need it), only the committed-
-	// subs payload is dropped. Zero cap retains everything (standalone DMs,
-	// replay — configureRetention runs only after recovery replay, so replay
-	// itself never compacts).
+	// resolution order; once it exceeds resolvedCap, the oldest records
+	// leave resolved and keep only their outcome, as two bits in verdicts —
+	// the committed/aborted verdict stays forever (idempotency and settle
+	// probes need it), only the committed-subs payload is dropped. Zero cap
+	// retains everything (standalone DMs, and replay: configureRetention
+	// runs after recovery replay and enrolls what replay left).
 	resolvedCap int
 	resolvedLog []TxnID
+
+	// touched indexes, per top-level transaction, the replicas on which its
+	// subtree holds locks, lock phase records, release tombstones or
+	// intentions, in the order it first touched them. Commit, abort and
+	// every other per-transaction request visit only these replicas, never
+	// every hosted item. An entry lives until its transaction resolves; the
+	// slices are recycled through touchedFree (the handler runs on one
+	// goroutine).
+	touched     map[TxnID][]*replica
+	touchedFree [][]*replica
 
 	// Lease machinery (soft state: never snapshotted, never replayed —
 	// recovery re-stamps fresh leases, which only delays reaping).
@@ -151,6 +164,8 @@ func newDMState(id string, items []ItemSpec) *dmServer {
 		replicas:   map[string]*replica{},
 		moved:      map[string]WrongShardResp{},
 		resolved:   map[TxnID]*resolution{},
+		verdicts:   verdictSet{},
+		touched:    map[TxnID][]*replica{},
 		clock:      transport.Wall,
 		leases:     map[TxnID]time.Time{},
 		inquiries:  map[TxnID]*inquiry{},
@@ -190,14 +205,22 @@ func (s *dmServer) configureRing(r *shard.Ring) {
 }
 
 // configureRetention arms the resolved-record retention cap. Like the lease
-// configuration it must run after recovery replay and before the server's
-// node starts: replayed resolutions are never compacted (the replayed state
-// can only carry MORE information than the pre-crash one, which is safe),
-// new ones join the eviction log.
+// configuration it must run after recovery replay (or a peer rebuild) and
+// before the server's node starts. The records a snapshot, replay or
+// rebuild left behind form the eviction log first, in id order so that
+// replicas holding the same records compact them alike; new resolutions
+// join behind them.
 func (s *dmServer) configureRetention(n int) {
-	if n > 0 {
-		s.resolvedCap = n
+	if n <= 0 {
+		return
 	}
+	s.resolvedCap = n
+	s.resolvedLog = make([]TxnID, 0, len(s.resolved))
+	for t := range s.resolved {
+		s.resolvedLog = append(s.resolvedLog, t)
+	}
+	sort.Slice(s.resolvedLog, func(i, j int) bool { return s.resolvedLog[i] < s.resolvedLog[j] })
+	s.compactResolved()
 }
 
 // setSender installs the peer-message transport.
@@ -374,25 +397,12 @@ func (r *replica) promote(t TxnID) {
 // drop removes every lock, intention, and phase record owned by t or its
 // descendants.
 func (r *replica) drop(t TxnID) {
-	for holder := range r.locks {
-		if t.IsAncestorOf(holder) {
-			delete(r.locks, holder)
-		}
-	}
-	for holder := range r.lockSeqs {
-		if t.IsAncestorOf(holder) {
-			delete(r.lockSeqs, holder)
-		}
-	}
-	for holder := range r.lockBorn {
-		if t.IsAncestorOf(holder) {
-			delete(r.lockBorn, holder)
-		}
-	}
-	for holder := range r.released {
-		if t.IsAncestorOf(holder) {
-			delete(r.released, holder)
-		}
+	dropSubtree(r.locks, t)
+	dropSubtree(r.lockSeqs, t)
+	dropSubtree(r.lockBorn, t)
+	dropSubtree(r.released, t)
+	if len(r.intents) == 0 {
+		return
 	}
 	kept := r.intents[:0]
 	for _, in := range r.intents {
@@ -401,6 +411,33 @@ func (r *replica) drop(t TxnID) {
 		}
 	}
 	r.intents = kept
+}
+
+// dropSubtree deletes the entries of t and its descendants from m.
+func dropSubtree[V any](m map[TxnID]V, t TxnID) {
+	if len(m) == 0 {
+		return
+	}
+	for holder := range m {
+		if t.IsAncestorOf(holder) {
+			delete(m, holder)
+		}
+	}
+}
+
+// holds reports whether a lock or intention here belongs to top's subtree.
+func (r *replica) holds(top TxnID) bool {
+	for holder := range r.locks {
+		if holder.Top() == top {
+			return true
+		}
+	}
+	for _, in := range r.intents {
+		if in.owner.Top() == top {
+			return true
+		}
+	}
+	return false
 }
 
 // applyTop folds t's intentions into the committed state and releases its
@@ -427,35 +464,137 @@ func (r *replica) applyTop(t TxnID, committed map[TxnID]bool) {
 	r.drop(t)
 }
 
+// verdict is the one lookup of a resolution: ok reports whether the
+// top-level transaction t resolved here, res its outcome and, while
+// retention still holds the full record, its committed subs (nil once the
+// record is compacted to its verdict).
+func (s *dmServer) verdict(t TxnID) (res resolution, ok bool) {
+	if r := s.resolved[t]; r != nil {
+		return *r, true
+	}
+	known, committed := s.verdicts.get(t)
+	return resolution{committed: committed}, known
+}
+
 // txnResolved reports whether the request's top-level transaction already
 // committed or aborted, in which case no new lock may be granted to it.
 func (s *dmServer) txnResolved(t TxnID) bool {
-	return s.resolved[t.Top()] != nil
+	_, ok := s.verdict(t.Top())
+	return ok
 }
 
+// resolvedCount is how many resolutions the DM remembers, full or compact.
+func (s *dmServer) resolvedCount() int {
+	return len(s.resolved) + s.verdicts.count()
+}
+
+// touch records in the index that t's subtree now holds state on r.
+func (s *dmServer) touch(t TxnID, r *replica) {
+	top := t.Top()
+	rs, ok := s.touched[top]
+	for _, x := range rs {
+		if x == r {
+			return
+		}
+	}
+	if !ok && len(s.touchedFree) > 0 {
+		rs = s.touchedFree[len(s.touchedFree)-1]
+		s.touchedFree = s.touchedFree[:len(s.touchedFree)-1]
+	}
+	if s.touched == nil {
+		s.touched = map[TxnID][]*replica{}
+	}
+	s.touched[top] = append(rs, r)
+}
+
+// maxTouchedFree bounds the recycled index slices a DM keeps.
+const maxTouchedFree = 256
+
+// untouch retires top's index entry: a resolved transaction holds nothing
+// anywhere, and no grant or tombstone is installed for it again.
+func (s *dmServer) untouch(top TxnID) {
+	rs, ok := s.touched[top]
+	if !ok {
+		return
+	}
+	delete(s.touched, top)
+	if len(s.touchedFree) < maxTouchedFree {
+		clear(rs)
+		s.touchedFree = append(s.touchedFree, rs[:0])
+	}
+}
+
+// reindex rebuilds the touched index from replica state, visiting items in
+// name order so the index — and everything that walks it — is the same on
+// every replay. State a resolved transaction still holds is dropped: only
+// a log written before late releases of resolved transactions were refused
+// can carry such tombstones, and nothing could ever clear them.
+func (s *dmServer) reindex() {
+	s.touched = map[TxnID][]*replica{}
+	names := make([]string, 0, len(s.replicas))
+	for name := range s.replicas {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		r := s.replicas[name]
+		var tops []TxnID
+		note := func(t TxnID) {
+			top := t.Top()
+			for _, x := range tops {
+				if x == top {
+					return
+				}
+			}
+			tops = append(tops, top)
+		}
+		for t := range r.locks {
+			note(t)
+		}
+		for t := range r.lockSeqs {
+			note(t)
+		}
+		for t := range r.lockBorn {
+			note(t)
+		}
+		for t := range r.released {
+			note(t)
+		}
+		for _, in := range r.intents {
+			note(in.owner)
+		}
+		sort.Slice(tops, func(i, j int) bool { return tops[i] < tops[j] })
+		for _, top := range tops {
+			if s.txnResolved(top) {
+				r.drop(top)
+				continue
+			}
+			s.touch(top, r)
+		}
+	}
+}
+
+// markResolved records t's outcome and retires its per-transaction state.
+// Callers apply the outcome to t's touched replicas first: this drops the
+// index entry.
 func (s *dmServer) markResolved(t TxnID, committed bool, subs []TxnID) {
 	if s.resolved == nil {
 		s.resolved = map[TxnID]*resolution{}
 	}
-	_, existed := s.resolved[t]
-	s.resolved[t] = &resolution{committed: committed, subs: subs}
-	if !existed && s.resolvedCap > 0 {
-		// Retention: past the cap, the oldest records shed their subs
-		// payload but keep the verdict — a tombstone still refuses late
-		// commits, still answers inquiries and settle probes. Re-resolving
-		// an already-resolved id (duplicate aborts) never re-logs it.
-		s.resolvedLog = append(s.resolvedLog, t)
-		for len(s.resolvedLog) > s.resolvedCap {
-			old := s.resolvedLog[0]
-			s.resolvedLog = s.resolvedLog[1:]
-			if res := s.resolved[old]; res != nil && res.subs != nil {
-				res.subs = nil
-			}
-			if s.stats != nil {
-				s.stats.ResolvedEvictions.Inc()
-			}
+	// Re-resolving an already-resolved id (duplicate aborts) rewrites its
+	// record or verdict in place and never re-logs it.
+	if res := s.resolved[t]; res != nil {
+		res.committed, res.subs = committed, subs
+	} else if known, _ := s.verdicts.get(t); known {
+		s.verdicts.set(t, committed)
+	} else {
+		s.resolved[t] = &resolution{committed: committed, subs: subs}
+		if s.resolvedCap > 0 {
+			s.resolvedLog = append(s.resolvedLog, t)
+			s.compactResolved()
 		}
 	}
+	s.untouch(t)
 	if s.leases != nil {
 		delete(s.leases, t)
 	}
@@ -470,6 +609,59 @@ func (s *dmServer) markResolved(t TxnID, committed bool, subs []TxnID) {
 	}
 	if s.recoveries != nil {
 		delete(s.recoveries, t)
+	}
+}
+
+// compactResolved enforces the retention cap: past it, the oldest records
+// leave the map and keep only their outcome in verdicts — still refusing
+// late commits, still answering inquiries and settle probes.
+func (s *dmServer) compactResolved() {
+	for len(s.resolvedLog) > s.resolvedCap {
+		old := s.resolvedLog[0]
+		s.resolvedLog = s.resolvedLog[1:]
+		if res := s.resolved[old]; res != nil {
+			s.verdicts.set(old, res.committed)
+			delete(s.resolved, old)
+		}
+		if s.stats != nil {
+			s.stats.ResolvedEvictions.Inc()
+		}
+	}
+}
+
+// commitTop applies the commit of top-level transaction top, whose
+// committed subtransactions are subs, to every replica it touched, and
+// records the outcome.
+func (s *dmServer) commitTop(top TxnID, subs []TxnID) {
+	var committed map[TxnID]bool
+	if len(subs) > 0 {
+		committed = make(map[TxnID]bool, len(subs))
+		for _, sub := range subs {
+			committed[sub] = true
+		}
+	}
+	for _, r := range s.touched[top] {
+		r.applyTop(top, committed)
+	}
+	s.markResolved(top, true, subs)
+}
+
+// abortTop discards top's whole subtree wherever it touched a replica and
+// records the abort.
+func (s *dmServer) abortTop(top TxnID) {
+	for _, r := range s.touched[top] {
+		r.drop(top)
+	}
+	s.markResolved(top, false, nil)
+}
+
+// grantFinalHints self-grants freshness hints for the items a commit left
+// at their final version here (see CommitTopReq in apply).
+func (s *dmServer) grantFinalHints(final map[string]int, by TxnID) {
+	for name, fin := range final {
+		if r := s.replicas[name]; r != nil && r.vn == fin {
+			s.grantHint(name, r, by)
+		}
 	}
 }
 
@@ -524,6 +716,7 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		_, held := r.locks[q.Txn]
 		r.grant(q.Txn, q.Lock)
 		r.noteGrant(q.Txn, q.Seq, held)
+		s.touch(q.Txn, r)
 		s.stampLease(q.Txn)
 		vn, val, gen, cfg := r.view(q.Txn)
 		// A granted read mutates the lock table: the grant is a promise
@@ -549,6 +742,7 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		_, held := r.locks[q.Txn]
 		r.grant(q.Txn, LockWrite)
 		r.noteGrant(q.Txn, q.Seq, held)
+		s.touch(q.Txn, r)
 		s.stampLease(q.Txn)
 		// A write lock revokes the freshness hint here and stamps the fence:
 		// the write-quorum members' fence rides the grant itself, only the
@@ -576,6 +770,7 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		_, held := r.locks[q.Txn]
 		r.grant(q.Txn, LockWrite)
 		r.noteGrant(q.Txn, q.Seq, held)
+		s.touch(q.Txn, r)
 		s.stampLease(q.Txn)
 		s.fenceHintLocal(q.Item, q.Txn)
 		if !r.hasIntentCopy(q.Txn, true, 0, q.Gen) {
@@ -587,9 +782,16 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		if r == nil || q.Seq == 0 {
 			return Ack{OK: true}, false
 		}
+		if s.txnResolved(q.Txn) {
+			// A late release for a resolved transaction: its locks are gone
+			// and txnResolved already refuses every copy of its phases, so a
+			// tombstone would guard nothing — and nothing would ever clear it.
+			return Ack{OK: true}, false
+		}
 		// Even a refused release installs the phase tombstone, which must
 		// survive a restart or late request copies could re-grant.
 		r.release(q.Txn, q.Seq)
+		s.touch(q.Txn, r)
 		return Ack{OK: true}, true
 	case RepairReq:
 		r := s.replicas[q.Item]
@@ -633,44 +835,36 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 			Locks: len(r.locks), Intents: len(r.intents),
 		}, false
 	case CommitSubReq:
-		for _, r := range s.replicas {
+		for _, r := range s.touched[q.Txn.Top()] {
 			r.promote(q.Txn)
 		}
 		return Ack{OK: true}, true
 	case AbortReq:
-		if q.Txn.Top() == q.Txn {
-			s.markResolved(q.Txn, false, nil)
-		}
-		for _, r := range s.replicas {
-			r.drop(q.Txn)
+		if top := q.Txn.Top(); top == q.Txn {
+			s.abortTop(top)
+		} else {
+			for _, r := range s.touched[top] {
+				r.drop(q.Txn)
+			}
 		}
 		return Ack{OK: true}, true
 	case CommitTopReq:
-		if res := s.resolved[q.Txn]; res != nil {
+		if res, ok := s.verdict(q.Txn); ok {
 			// A transaction the lease reaper already presumed aborted must
 			// not commit late — under the lease fence the client never
 			// reaches this point, but a refused ack keeps even a fence
 			// bypass from silently diverging.
 			return Ack{OK: res.committed}, false
 		}
-		s.markResolved(q.Txn, true, q.Subs)
-		committed := make(map[TxnID]bool, len(q.Subs))
-		for _, sub := range q.Subs {
-			committed[sub] = true
-		}
-		for name, r := range s.replicas {
-			r.applyTop(q.Txn, committed)
-			// The commit doubles as a freshness proof ONLY for replicas
-			// whose post-apply version is the transaction's final one for
-			// the item. Merely having advanced is not enough: a transaction
-			// that wrote the item twice through different write quorums
-			// leaves its earlier version at replicas the later quorum never
-			// touched — they advance, but to a version that is already
-			// superseded cluster-wide.
-			if fin, ok := q.Final[name]; ok && r.vn == fin {
-				s.grantHint(name, r, q.Txn)
-			}
-		}
+		s.commitTop(q.Txn, q.Subs)
+		// The commit doubles as a freshness proof ONLY for replicas whose
+		// post-apply version is the transaction's final one for the item.
+		// Merely having advanced is not enough: a transaction that wrote the
+		// item twice through different write quorums leaves its earlier
+		// version at replicas the later quorum never touched — they
+		// advance, but to a version that is already superseded
+		// cluster-wide.
+		s.grantFinalHints(q.Final, q.Txn)
 		return Ack{OK: true}, true
 	case AdoptItemReq:
 		if _, hosts := s.replicas[q.Item]; hosts {
@@ -712,41 +906,31 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		return Ack{OK: true}, true
 	case ReapReq:
 		top := q.Txn.Top()
-		if s.resolved[top] != nil {
+		if s.txnResolved(top) {
 			return Ack{OK: true}, false
 		}
 		if q.Commit {
 			// A peer produced the commit record: apply the transaction here
-			// exactly as a late CommitTopReq would, Subs and all.
-			s.markResolved(top, true, q.Subs)
-			committed := make(map[TxnID]bool, len(q.Subs))
-			for _, sub := range q.Subs {
-				committed[sub] = true
-			}
-			for _, r := range s.replicas {
-				// No freshness grant here: a reaped commit carries no final
-				// version map (the reaper reconstructs the verdict, not the
-				// write set), so this replica cannot prove its applied state
-				// is the cluster maximum. The sweeper re-proves it.
-				r.applyTop(top, committed)
-			}
+			// exactly as a late CommitTopReq would, Subs and all. No
+			// freshness grant: a reaped commit carries no final version map
+			// (the reaper reconstructs the verdict, not the write set), so
+			// this replica cannot prove its applied state is the cluster
+			// maximum. The sweeper re-proves it.
+			s.commitTop(top, q.Subs)
 		} else {
 			// Presumed abort: no replica anywhere holds a commit record and
 			// the lease lapsed, so the commit point was never passed. Drop
 			// the whole subtree — descendants a promote already folded into
 			// the parent fall with it, and descendants still under their own
 			// ids are covered by drop's ancestor sweep.
-			s.markResolved(top, false, nil)
-			for _, r := range s.replicas {
-				r.drop(top)
-			}
+			s.abortTop(top)
 		}
 		return Ack{OK: true}, true
 	case PaxosAcceptReq:
 		// Phase 2a: accept the proposed outcome unless a higher ballot was
 		// promised. Ballot 0 is the coordinator's fast path (it skips
 		// Phase 1); recovery proposers arrive with ballots >= 1.
-		if res := s.resolved[q.Txn]; res != nil {
+		if res, ok := s.verdict(q.Txn); ok {
 			// Recovery already decided this instance — the caller adopts the
 			// decision instead of counting this as a vote.
 			return PaxosAcceptResp{Decided: true, DecCommit: res.committed}, false
@@ -771,7 +955,7 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		// promise watermark hits the log before the promise leaves the
 		// machine. A resolved instance refuses — the recovery path answers
 		// such queries from the resolution record instead.
-		if s.resolved[q.Txn] != nil {
+		if s.txnResolved(q.Txn) {
 			return Ack{OK: false}, false
 		}
 		acc := s.acceptors[q.Txn]
@@ -791,29 +975,17 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		// CommitTopReq (or a reaped abort) would. Idempotent, and it retires
 		// the instance's acceptor state via markResolved.
 		top := q.Txn.Top()
-		if s.resolved[top] != nil {
+		if s.txnResolved(top) {
 			return Ack{OK: true}, false
 		}
 		if q.Commit {
-			s.markResolved(top, true, q.Subs)
-			committed := make(map[TxnID]bool, len(q.Subs))
-			for _, sub := range q.Subs {
-				committed[sub] = true
-			}
-			for name, r := range s.replicas {
-				r.applyTop(top, committed)
-				// Same freshness rule as CommitTopReq: the decision carries
-				// the final version map, so a replica landing on the final
-				// version may self-grant a hint.
-				if fin, ok := q.Final[name]; ok && r.vn == fin {
-					s.grantHint(name, r, top)
-				}
-			}
+			s.commitTop(top, q.Subs)
+			// Same freshness rule as CommitTopReq: the decision carries the
+			// final version map, so a replica landing on the final version
+			// may self-grant a hint.
+			s.grantFinalHints(q.Final, top)
 		} else {
-			s.markResolved(top, false, nil)
-			for _, r := range s.replicas {
-				r.drop(top)
-			}
+			s.abortTop(top)
 		}
 		return Ack{OK: true}, true
 	default:

@@ -44,13 +44,14 @@ func decodeRecord(b []byte) (any, error) {
 }
 
 // encodeSnapshot serializes the DM's complete state: the format version,
-// then replicas, resolution records, retirement markers and Paxos acceptor
-// state, every map in sorted key order so snapshots of identical state are
-// identical bytes. Leases, in-flight inquiries, and freshness hints are
-// soft state and deliberately absent: recovery re-stamps fresh leases
-// (which only delays reaping) and rebuilds an empty hint table (a
-// recovered replica serves no hinted reads until a commit or the sweeper
-// re-proves its freshness).
+// then replicas, resolution records, retirement markers, Paxos acceptor
+// state and the compacted verdict words, every map in sorted key order so
+// snapshots of identical state are identical bytes. Leases, in-flight
+// inquiries, freshness hints and the per-transaction index are soft state
+// and deliberately absent: recovery re-stamps fresh leases (which only
+// delays reaping), starts an empty hint table (a recovered replica serves
+// no hinted reads until a commit or the sweeper re-proves its freshness),
+// and derives the index from the restored replicas.
 func encodeSnapshot(s *dmServer) ([]byte, error) {
 	e := wire.NewEncoder(nil)
 	e.Byte(wire.Version)
@@ -82,13 +83,17 @@ func encodeSnapshot(s *dmServer) ([]byte, error) {
 	// undecided instance's outcome.
 	wire.Map(e, s.moved, putWrongShard)
 	wire.Map(e, s.acceptors, func(e *wire.Encoder, a *commit.Acceptor) { putAcceptor(e, *a) })
+	// The verdict words come last, as a section a reader tolerates being
+	// absent: snapshots written before compact verdicts end here.
+	wire.Slice(e, s.verdicts.words(), putVerdictWord)
 	if err := e.Err(); err != nil {
 		return nil, fmt.Errorf("cluster: encode wal snapshot: %w", err)
 	}
 	return e.Bytes(), nil
 }
 
-// restoreSnapshot overwrites the DM's state with a decoded snapshot.
+// restoreSnapshot overwrites the DM's state with a decoded snapshot and
+// rebuilds the per-transaction index from it.
 func restoreSnapshot(s *dmServer, b []byte) error {
 	d := wire.NewDecoder(b)
 	d.CheckVersion()
@@ -114,13 +119,25 @@ func restoreSnapshot(s *dmServer, b []byte) error {
 		a := getAcceptor(d)
 		return &a
 	})
+	var words []VerdictWord
+	if d.More() {
+		words = wire.ReadSlice(d, getVerdictWord)
+	}
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("cluster: decode wal snapshot: %w", err)
 	}
+	verdicts := verdictSet{}
+	for _, w := range words {
+		if !verdicts.merge(w) {
+			return fmt.Errorf("cluster: decode wal snapshot: verdict word %q/%d repeats with another outcome", w.Prefix, w.Block)
+		}
+	}
 	s.replicas = orEmpty(replicas)
 	s.resolved = orEmpty(resolved)
+	s.verdicts = verdicts
 	s.moved = orEmpty(moved)
 	s.acceptors = orEmpty(acceptors)
+	s.reindex()
 	return nil
 }
 

@@ -117,7 +117,7 @@ func (s *dmServer) noteInspect(r *replica) {
 // clusters) nobody else could hold a commit record, so the presumed abort
 // is immediate.
 func (s *dmServer) maybeStartInquiry(top TxnID) {
-	if s.resolved[top] != nil {
+	if s.txnResolved(top) {
 		return
 	}
 	if acc := s.acceptors[top]; acc != nil {
@@ -197,7 +197,7 @@ func (s *dmServer) coordinate(req any) (resp any, handled bool) {
 	switch q := req.(type) {
 	case RenewLeaseReq:
 		top := q.Txn.Top()
-		if s.resolved[top] != nil {
+		if s.txnResolved(top) {
 			return Ack{OK: false}, true
 		}
 		if s.leaseTTL > 0 && !s.knowsTxn(top) {
@@ -214,7 +214,7 @@ func (s *dmServer) coordinate(req any) (resp any, handled bool) {
 		return Ack{OK: true}, true
 	case ResolutionQueryReq:
 		ans := ResolutionAnswer{Txn: q.Txn, From: s.id}
-		if res := s.resolved[q.Txn]; res != nil {
+		if res, ok := s.verdict(q.Txn); ok {
 			ans.Known, ans.Committed, ans.Subs = true, res.committed, res.subs
 		} else {
 			if s.leaseTTL > 0 {
@@ -238,7 +238,7 @@ func (s *dmServer) coordinate(req any) (resp any, handled bool) {
 		return Ack{OK: true}, true
 	case ResolutionAnswer:
 		inq := s.inquiries[q.Txn]
-		if inq == nil || s.resolved[q.Txn] != nil {
+		if inq == nil || s.txnResolved(q.Txn) {
 			return Ack{OK: true}, true
 		}
 		if q.Known {
@@ -381,16 +381,9 @@ func (s *dmServer) knowsTxn(top TxnID) bool {
 	if _, ok := s.leases[top]; ok {
 		return true
 	}
-	for _, r := range s.replicas {
-		for holder := range r.locks {
-			if holder.Top() == top {
-				return true
-			}
-		}
-		for _, in := range r.intents {
-			if in.owner.Top() == top {
-				return true
-			}
+	for _, r := range s.touched[top] {
+		if r.holds(top) {
+			return true
 		}
 	}
 	return false

@@ -444,12 +444,12 @@ type PaxosRecoverQuery struct {
 // replica already knows the outcome (DecCommit/DecSubs/DecFinal), and the
 // proposer adopts it as decided — it never re-proposes over a decision.
 type PaxosRecoverPromise struct {
-	Txn      TxnID
-	Ballot   int
-	From     string
-	OK       bool
-	Promised int
-	AccBal   int
+	Txn       TxnID
+	Ballot    int
+	From      string
+	OK        bool
+	Promised  int
+	AccBal    int
 	AccCommit bool
 	AccSubs   []TxnID
 	AccFinal  map[string]int
@@ -549,24 +549,37 @@ type RebuildItemState struct {
 }
 
 // RebuildResolution mirrors one resolution record in a RebuildPullResp.
-// Subs is nil for aborts and for commit records the retention cap already
-// compacted to outcome tombstones.
+// Subs is nil for aborts and for commit records that carry no subs.
 type RebuildResolution struct {
 	Committed bool
 	Subs      []TxnID
 }
 
+// VerdictWord carries up to 64 compacted resolution outcomes (DESIGN.md
+// §12): for every bit i set in Known, the top-level transaction
+// joinTxnID(Prefix, Block*64+i) resolved — committed when bit i of
+// Committed is set too, aborted otherwise. Block -1 holds the one id
+// Prefix that ends in no digit, at bit 63.
+type VerdictWord struct {
+	Prefix           string
+	Block            int64
+	Known, Committed uint64
+}
+
 // RebuildPullResp is one replica's complete answer to a RebuildPullReq.
 // Items answers the requested items in order; Moved carries the redirect
-// markers among them; Resolved and Acceptors carry the transaction
-// outcome state the rebuilding replica must re-adopt before it may serve
-// again. OK false (or a QuarantinedResp instead) means this replica
-// cannot contribute and the rebuild must not count it as a witness.
+// markers among them; Resolved, Verdicts and Acceptors carry the
+// transaction outcome state the rebuilding replica must re-adopt before it
+// may serve again: Resolved the records retention still holds in full,
+// Verdicts the outcomes it compacted. OK false (or a QuarantinedResp
+// instead) means this replica cannot contribute and the rebuild must not
+// count it as a witness.
 type RebuildPullResp struct {
 	OK        bool
 	From      string
 	Items     []RebuildItemState
 	Moved     map[string]WrongShardResp
 	Resolved  map[TxnID]RebuildResolution
+	Verdicts  []VerdictWord
 	Acceptors map[TxnID]commit.Acceptor
 }

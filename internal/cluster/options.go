@@ -281,16 +281,16 @@ func WithReadLeaseTTL(ttl time.Duration) Option {
 }
 
 // defaultResolvedRetention is how many resolution records a DM keeps with
-// their full committed-subs payload before the oldest compact to outcome
-// tombstones (the verdict alone). The window only needs to outlive the
+// their full committed-subs payload before the oldest compact to their
+// verdict alone. The window only needs to outlive the
 // straggler horizon — a replica that missed a commit hears about it via the
 // lease reaper or anti-entropy long before 4096 later transactions resolve.
 const defaultResolvedRetention = 4096
 
 // WithResolvedRetention caps how many resolution records each DM retains
 // with their full committed-subs payload (DESIGN.md §12). Past the cap, the
-// oldest records are compacted to outcome tombstones: the committed/aborted
-// verdict is kept forever — late CommitTopReq retries, lease-resolution
+// oldest records are compacted to two-bit verdicts: the committed/aborted
+// outcome is kept forever — late CommitTopReq retries, lease-resolution
 // inquiries and settle probes still get an authoritative answer — but the
 // subs list, the bulk of the record, is dropped. Values at or below zero
 // disable compaction (retain everything, the pre-§12 behavior). Default

@@ -120,7 +120,7 @@ func (s *dmServer) proposerBallot(attempt int) int {
 // sweep found the orphan's locks — but acceptor state exists, locally or
 // at a peer, so the outcome must be reconstructed, never presumed.
 func (s *dmServer) startPaxosRecovery(top TxnID, cohort []string) {
-	if s.resolved[top] != nil || len(cohort) == 0 {
+	if s.txnResolved(top) || len(cohort) == 0 {
 		return
 	}
 	now := s.clock.Now()
@@ -175,7 +175,7 @@ func (s *dmServer) coordinatePaxos(req any) (resp any, handled bool) {
 	case PaxosRecoverQuery:
 		// Phase 1b. A resolved instance short-circuits the whole round: the
 		// proposer adopts the decision instead of counting promises.
-		if res := s.resolved[q.Txn]; res != nil {
+		if res, ok := s.verdict(q.Txn); ok {
 			s.notifyPeer(q.From, PaxosRecoverPromise{
 				Txn: q.Txn, Ballot: q.Ballot, From: s.id,
 				Decided: true, DecCommit: res.committed, DecSubs: res.subs,
@@ -242,7 +242,7 @@ func (s *dmServer) coordinatePaxos(req any) (resp any, handled bool) {
 		return Ack{OK: true}, true
 	case PaxosRecoverAccept:
 		// Phase 2a of a recovery round.
-		if res := s.resolved[q.Txn]; res != nil {
+		if res, ok := s.verdict(q.Txn); ok {
 			s.notifyPeer(q.From, PaxosRecoverPromise{
 				Txn: q.Txn, Ballot: q.Ballot, From: s.id,
 				Decided: true, DecCommit: res.committed, DecSubs: res.subs,
@@ -280,20 +280,14 @@ func (s *dmServer) coordinatePaxos(req any) (resp any, handled bool) {
 		return Ack{OK: true}, true
 	case ResolutionProbeReq:
 		ans := ResolutionProbeResp{Promised: -2, AccBal: -1}
-		if res := s.resolved[q.Txn]; res != nil {
+		if res, ok := s.verdict(q.Txn); ok {
 			ans.Known, ans.Committed = true, res.committed
 		}
 		top := q.Txn.Top()
-		for _, r := range s.replicas {
-			for holder := range r.locks {
-				if holder.Top() == top {
-					ans.Holds = true
-				}
-			}
-			for _, in := range r.intents {
-				if in.owner.Top() == top {
-					ans.Holds = true
-				}
+		for _, r := range s.touched[top] {
+			if r.holds(top) {
+				ans.Holds = true
+				break
 			}
 		}
 		if acc := s.acceptors[q.Txn]; acc != nil {
@@ -312,7 +306,7 @@ func (s *dmServer) coordinatePaxos(req any) (resp any, handled bool) {
 // keeps the post-crash in-doubt window at a single round-trip instead of
 // a lease TTL.
 func (s *dmServer) decidePaxos(top TxnID, val commit.Decision) {
-	if s.resolved[top] != nil {
+	if s.txnResolved(top) {
 		return
 	}
 	if s.stats != nil {

@@ -50,8 +50,10 @@ type RebuildStats struct {
 // nothing is logged — and served like the other coordination traffic, off
 // the replicated state machine. The answer carries, for the requested
 // items, this replica's committed value and configuration (or its
-// retirement marker), plus ALL resolution records and the acceptor state
-// of every Paxos instance whose cohort includes the rebuilding DM.
+// retirement marker), plus ALL resolution records — those retention holds
+// in full as records, the compacted ones as verdict words — and the
+// acceptor state of every Paxos instance whose cohort includes the
+// rebuilding DM.
 func (s *dmServer) coordinateRebuild(req any) (resp any, handled bool) {
 	q, ok := req.(RebuildPullReq)
 	if !ok {
@@ -83,6 +85,7 @@ func (s *dmServer) coordinateRebuild(req any) (resp any, handled bool) {
 			}
 		}
 	}
+	out.Verdicts = s.verdicts.words()
 	for t, acc := range s.acceptors {
 		member := false
 		for _, m := range acc.Cohort {
@@ -230,7 +233,7 @@ func rebuildReplica(ctx context.Context, env rebuildEnv) (*dmHandle, RebuildStat
 	}
 
 	// Resolution records: union across peers, preferring answers that still
-	// carry the committed-subs payload over retention tombstones. Verdicts
+	// carry the committed-subs payload over compacted verdicts. Outcomes
 	// must agree — a commit here and an abort there is a serializability
 	// violation already in progress, and rebuilding over it would bury it.
 	for _, p := range peers {
@@ -248,7 +251,24 @@ func rebuildReplica(ctx context.Context, env rebuildEnv) (*dmHandle, RebuildStat
 			}
 		}
 	}
-	rst.Resolved = len(srv.resolved)
+	for _, p := range peers {
+		for _, w := range answers[p].Verdicts {
+			if !srv.verdicts.merge(w) {
+				return nil, RebuildStats{}, fmt.Errorf("cluster: rebuild %s: peers disagree on an outcome in verdict word %q/%d", env.id, w.Prefix, w.Block)
+			}
+		}
+	}
+	// A record one peer still holds in full and another compacted: the
+	// full record stays, once the two outcomes are checked to agree.
+	for t, res := range srv.resolved {
+		if known, committed := srv.verdicts.get(t); known {
+			if committed != res.committed {
+				return nil, RebuildStats{}, fmt.Errorf("cluster: rebuild %s: peers disagree on outcome of %s", env.id, t)
+			}
+			srv.verdicts.clear(t)
+		}
+	}
+	rst.Resolved = srv.resolvedCount()
 
 	// Acceptor hard state, for every undecided Paxos instance this DM is a
 	// cohort member of. Every cohort member except this DM must be among
@@ -265,7 +285,7 @@ func rebuildReplica(ctx context.Context, env rebuildEnv) (*dmHandle, RebuildStat
 	merged := map[TxnID]*accMerge{}
 	for _, p := range peers {
 		for t, acc := range answers[p].Acceptors {
-			if srv.resolved[t.Top()] != nil || srv.resolved[t] != nil {
+			if srv.txnResolved(t) {
 				continue
 			}
 			m := merged[t]

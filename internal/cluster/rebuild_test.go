@@ -319,7 +319,8 @@ func TestRebuildRestoresResolvedAndAcceptors(t *testing.T) {
 // — so a transaction whose locks died with a corrupted-and-rebuilt replica
 // aborts at its pre-commit fence instead of committing over the loss.
 func TestRenewLeaseRefusedForUnknownTxn(t *testing.T) {
-	srv := newDMState("dm0", []ItemSpec{{Name: "x", DMs: []string{"dm0"}, Config: quorum.Majority([]string{"dm0"})}})
+	cfg := quorum.Majority([]string{"dm0"})
+	srv := newDMState("dm0", []ItemSpec{{Name: "x", DMs: []string{"dm0"}, Config: cfg}, {Name: "y", DMs: []string{"dm0"}, Config: cfg}})
 	srv.configureLeases(time.Minute, nil, nil, nil)
 
 	if resp, handled := srv.coordinate(RenewLeaseReq{Txn: "c1.t1"}); !handled || resp.(Ack).OK {
@@ -333,7 +334,11 @@ func TestRenewLeaseRefusedForUnknownTxn(t *testing.T) {
 		t.Fatalf("renewal for lock holder = %#v, want OK", resp)
 	}
 	// An intention alone (lock promoted away mid-tree) is a trace too.
-	srv.replicas["x"].intents = append(srv.replicas["x"].intents, intent{owner: "c1.t3/0", vn: 9, val: 1})
+	if resp, _ := srv.apply(WriteReq{Txn: "c1.t3/0", Item: "y", VN: 9, Val: 1}); !resp.(WriteResp).OK {
+		t.Fatalf("write refused: %#v", resp)
+	}
+	delete(srv.replicas["y"].locks, "c1.t3/0")
+	delete(srv.leases, "c1.t3")
 	if resp, _ := srv.coordinate(RenewLeaseReq{Txn: "c1.t3"}); !resp.(Ack).OK {
 		t.Fatalf("renewal for intent owner = %#v, want OK", resp)
 	}
@@ -355,14 +360,14 @@ func TestResolvedRetentionCompacts(t *testing.T) {
 	if stats.ResolvedEvictions.Value() != 1 {
 		t.Fatalf("ResolvedEvictions = %d, want 1", stats.ResolvedEvictions.Value())
 	}
-	oldest := srv.resolved["c1.t1"]
-	if oldest == nil || !oldest.committed {
+	oldest, ok := srv.verdict("c1.t1")
+	if !ok || !oldest.committed {
 		t.Fatalf("verdict must outlive retention: %+v", oldest)
 	}
 	if oldest.subs != nil {
 		t.Fatalf("oldest record kept subs %v past the cap", oldest.subs)
 	}
-	if srv.resolved["c1.t3"].subs == nil {
+	if newest, _ := srv.verdict("c1.t3"); newest.subs == nil {
 		t.Fatal("newest record lost its subs inside the window")
 	}
 	// The tombstone still makes CommitTopReq idempotent...

@@ -144,8 +144,8 @@ type Stats struct {
 	// that entered quarantine (a corrupt log at open, or a failed append at
 	// runtime); Rebuilds counts successful peer rebuilds and RebuiltItems
 	// totals the items those rebuilds restored. ResolvedEvictions counts
-	// resolution records the retention cap compacted down to outcome
-	// tombstones.
+	// resolution records the retention cap compacted down to their
+	// two-bit verdicts.
 	Quarantines       metrics.Counter
 	Rebuilds          metrics.Counter
 	RebuiltItems      metrics.Counter

@@ -363,6 +363,7 @@ func init() {
 			e.Bool(r.Committed)
 			wire.Strings(e, r.Subs)
 		})
+		wire.Slice(e, m.Verdicts, putVerdictWord)
 		wire.Map(e, m.Acceptors, putAcceptor)
 	}, func(d *wire.Decoder) RebuildPullResp {
 		return RebuildPullResp{
@@ -374,6 +375,7 @@ func init() {
 			Resolved: wire.ReadMap[TxnID](d, func(d *wire.Decoder) RebuildResolution {
 				return RebuildResolution{Committed: d.Bool(), Subs: wire.ReadStrings[TxnID](d)}
 			}),
+			Verdicts:  wire.ReadSlice(d, getVerdictWord),
 			Acceptors: wire.ReadMap[TxnID](d, getAcceptor),
 		}
 	})

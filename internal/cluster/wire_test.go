@@ -86,6 +86,7 @@ func wireSamples() []any {
 			Items:    []RebuildItemState{{Item: "x", Has: true, VN: 5, Val: uint64(9), Gen: 1, Cfg: cfg}, {Item: "y", Has: true, VN: 1, Val: true, Gen: 2, Cfg: cfg}},
 			Moved:    map[string]WrongShardResp{"y": {DM: "dm0", Item: "y", Epoch: 2, Group: "g1", DMs: []string{"dm3"}, Gen: 3, Cfg: cfg}},
 			Resolved: map[TxnID]RebuildResolution{"t1": {Committed: true, Subs: []TxnID{"t1/0"}}},
+			Verdicts: []VerdictWord{{Prefix: "c1.t", Block: 3, Known: 0xf0, Committed: 0x30}, {Prefix: "test", Block: -1, Known: 1 << 63}},
 			Acceptors: map[TxnID]commit.Acceptor{"t2": {
 				Promised: 1, AccBal: 1,
 				AccVal: commit.Decision{Commit: true, Subs: []string{"t2/0"}, Final: map[string]int{"x": 5}},
@@ -131,6 +132,7 @@ var wireNested = map[string]string{
 	"LockMode":          "an int field of ReadReq",
 	"RebuildItemState":  "an element of RebuildPullResp.Items",
 	"RebuildResolution": "a value of RebuildPullResp.Resolved",
+	"VerdictWord":       "an element of RebuildPullResp.Verdicts",
 }
 
 // TestWireTagsCoverMsgs parses msgs.go and fails when a declared message

@@ -257,6 +257,10 @@ func (d *Decoder) Finish() error {
 	return d.err
 }
 
+// More reports whether unread input remains: how a unit that ends in an
+// optional section tells whether the section is there.
+func (d *Decoder) More() bool { return d.err == nil && d.off < len(d.buf) }
+
 func (d *Decoder) fail(reason string) {
 	if d.err == nil {
 		d.err = &FormatError{Offset: d.off, Reason: reason}

@@ -163,3 +163,29 @@ func TestDecodedBytesDoNotAliasInput(t *testing.T) {
 		t.Fatalf("decoded value changed with its input: %+v", s)
 	}
 }
+
+// TestMoreReportsOptionalSection: More tells a reader whether a trailing
+// optional section follows, and is false after a failure.
+func TestMoreReportsOptionalSection(t *testing.T) {
+	e := NewEncoder(nil)
+	e.Int(7)
+	d := NewDecoder(e.Bytes())
+	d.Int()
+	if d.More() {
+		t.Fatal("More after the last field")
+	}
+	e.String("section")
+	d = NewDecoder(e.Bytes())
+	d.Int()
+	if !d.More() {
+		t.Fatal("More missed the trailing section")
+	}
+	if d.String() != "section" || d.Finish() != nil {
+		t.Fatal("trailing section did not decode")
+	}
+	d = NewDecoder([]byte{0xff})
+	d.Uvarint()
+	if d.More() {
+		t.Fatal("More after a decode failure")
+	}
+}
